@@ -98,8 +98,10 @@ int main() {
   // Three lines over YCSB-style per-key Zipfian skew (θ=0 is the uniform
   // baseline): the plain shared tree, the shared tree fronted by the record
   // cache, and the cache with partition-affinity routing modeled in-process —
-  // worker t serves only the keys hashing to it (the epoll server's
-  // route_worker function), so a hot key's cache entry stays on one core.
+  // worker t serves only the keys hashing to it (key_hash64 % threads), so a
+  // hot key's cache entry stays on one core. The network server does not
+  // route by key (every worker serves the shared tree); this line is a model
+  // only.
   std::vector<std::string> all_keys(e.keys);
   std::vector<uint8_t> owner(e.keys);
   for (uint64_t i = 0; i < e.keys; ++i) {
@@ -123,7 +125,7 @@ int main() {
   // costs two pow() calls, which would otherwise dominate the loop and dilute
   // the tree-side difference the figure is about. All three lines of a theta
   // share one stream; the routed line partitions it by owning worker up front
-  // (the epoll server's steering, minus the wire), so every line executes
+  // (per-key routing, minus the wire), so every line executes
   // exactly `requests_total` gets.
   std::vector<uint32_t> stream(requests_total);
   std::vector<std::vector<uint32_t>> owned(e.threads);

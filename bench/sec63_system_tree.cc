@@ -4,9 +4,10 @@
 // workloads with 16 cores, Masstree provides 1.90x and 1.53x the throughput
 // of the binary tree for gets and puts, respectively."
 //
-// Both backends run behind the SAME network server and logging stack; only
-// the tree differs. The binary tree is wrapped in a minimal Store-compatible
-// backend (single column, logging via the same Logger).
+// Both backends run behind the SAME network server, batching pipeline and
+// logging stack; only the tree differs. The binary tree is wrapped in a
+// minimal backend that provides the server's batched seams (multiget_rows,
+// multiput) and logs through the same Logger.
 
 #include <filesystem>
 
@@ -22,10 +23,15 @@ namespace masstree {
 namespace {
 
 // Store-shaped adapter over the +IntCmp binary tree so BasicServer can serve
-// it. Values are heap strings (single column); logging mirrors Store's
-// per-session shards: each session owns its own single-producer Logger.
+// it through the same batch pipeline as Store: values are Row slots, reads
+// come back as row pointers (multiget_rows), and writes arrive as
+// Store::PutOps (multiput), applied one put at a time. Logging mirrors
+// Store's per-session shards: each session owns its own single-producer
+// Logger.
 class BinaryStore {
  public:
+  using PutOp = Store::PutOp;
+
   class Session {
    public:
     Session(BinaryStore& store, unsigned) : store_(store) {
@@ -50,28 +56,43 @@ class BinaryStore {
     }
   }
 
-  bool get(std::string_view key, const std::vector<unsigned>&, std::vector<std::string>* out,
-           Session& s) const {
+  // The caller holds an EpochGuard while it reads the returned rows.
+  size_t multiget_rows(std::span<const std::string_view> keys, const Row** rows,
+                       Session&) const {
+    size_t found = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      uint64_t lv;
+      rows[i] = tree_.get(keys[i], &lv) ? Row::from_slot(lv) : nullptr;
+      found += rows[i] != nullptr;
+    }
+    return found;
+  }
+
+  // Replaced rows are never reclaimed (the tree swaps values without
+  // returning the old one, so two racing puts could not tell who frees it);
+  // acceptable for a one-shot bench. Removes are unsupported and report
+  // not-found.
+  size_t multiput(std::span<PutOp> ops, Session& s) {
     EpochGuard guard(s.ti_.slot());
-    uint64_t lv;
-    if (!tree_.get(key, &lv)) {
-      return false;
+    size_t applied = 0;
+    for (PutOp& op : ops) {
+      op.inserted = false;
+      op.found = false;
+      if (op.remove) {
+        continue;
+      }
+      uint64_t old;
+      const Row* old_row = tree_.get(op.key, &old) ? Row::from_slot(old) : nullptr;
+      Row* row = Row::update(s.ti_, old_row, op.updates, 0);
+      op.inserted = tree_.insert(op.key, Row::to_slot(row), &s.ti_.arena());
+      op.found = !op.inserted;
+      if (s.logger_ != nullptr) {
+        s.logger_->append_put(op.key, op.updates, 0);
+      }
+      ++applied;
     }
-    out->assign(1, *reinterpret_cast<const std::string*>(lv));
-    return true;
+    return applied;
   }
-
-  bool put(std::string_view key, const std::vector<ColumnUpdate>& updates, Session& s) {
-    auto* value = new std::string(updates.empty() ? "" : std::string(updates[0].data));
-    bool inserted =
-        tree_.insert(key, reinterpret_cast<uint64_t>(value), &s.ti_.arena());
-    if (s.logger_ != nullptr) {
-      s.logger_->append_put(key, updates, 0);
-    }
-    return inserted;  // note: replaced values leak; acceptable for a bench
-  }
-
-  bool remove(std::string_view, Session&) { return false; }  // unsupported
 
   template <typename F>
   size_t getrange(std::string_view, size_t, unsigned, F&&, Session&) const {

@@ -75,11 +75,12 @@
 
 namespace masstree {
 
-// Stream hash used by the network server's partition-affinity routing
-// (hash(key) % nworkers). The cache indexes its buckets with a faster hash
-// over the packed key words (hash_words below); the two don't need to agree —
-// affinity comes from the same keys reaching the same worker, wherever their
-// entries land in that worker's (shared) table.
+// Stream hash for partitioning keys over workers (hash(key) % nworkers):
+// fig11_skew's in-process model of per-key routing uses it. The cache indexes
+// its buckets with a faster hash over the packed key words (hash_words
+// below); the two don't need to agree — affinity comes from the same keys
+// reaching the same worker, wherever their entries land in that worker's
+// (shared) table.
 inline uint64_t key_hash64(std::string_view s) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a, then a splitmix-style mix
   for (char ch : s) {
@@ -464,8 +465,8 @@ class RecordCache {
 
   // Bucket/tag/sketch hash over the packed words: four independent multiplies
   // (ILP-friendly) instead of a byte-serial stream hash — this runs on every
-  // cached-tree get, hit or miss. Unrelated to key_hash64, which the network
-  // server keeps for partition routing; the two never need to agree.
+  // cached-tree get, hit or miss. Unrelated to key_hash64, which partitions
+  // keys over workers; the two never need to agree.
   static uint64_t hash_words(const uint64_t kw[kWords], size_t len) {
     uint64_t h = kw[0] * 0x9E3779B97F4A7C15ull ^ kw[1] * 0xC2B2AE3D27D4EB4Full ^
                  kw[2] * 0x165667B19E3779F9ull ^ kw[3] * 0x27D4EB2F165667C5ull ^

@@ -637,6 +637,11 @@ class BasicTree {
     return ScanCursor<C>(root_, first);
   }
 
+  // Re-aims a long-lived cursor at this tree, keeping its warm buffers.
+  void reset_scan_cursor(ScanCursor<C>& cur, std::string_view first) const {
+    cur.reset(root_, first);
+  }
+
   // Pre-cursor scan implementation, kept verbatim as the ablation baseline
   // for bench/sec3_scan (re-locates the border for every frame re-entry and
   // heap-allocates per-entry suffix copies; the cursor exists to beat it).

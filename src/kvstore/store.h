@@ -108,6 +108,10 @@ class Store {
     std::vector<Tree::PutRequest> mp_reqs_;
     std::vector<uint64_t> mp_vers_;
     std::vector<LogShard::BatchOp> mp_log_;
+    // Resident getrange cursor, reset per call so its buffers stay warm and
+    // a short scan allocates nothing; busy while a getrange drives it.
+    ScanCursor<Tree::Config> scan_cur_;
+    bool scan_busy_ = false;
   };
 
   Store() : Store(Options()) {}
@@ -413,14 +417,26 @@ class Store {
   // snapshots are chain-walked allocation-free, and the epoch guard is
   // re-acquired every kGetrangeChunk pairs (cursor detach/re-attach) so an
   // arbitrarily long range read never stalls memory reclamation — the same
-  // bounded-epoch discipline the checkpointer uses.
+  // bounded-epoch discipline the checkpointer uses. The cursor is the
+  // session's resident one (the idiom of Tree::scan_drive), so repeated
+  // scans reuse its warm buffers instead of building a cursor per call.
   static constexpr unsigned kAllColumns = ~0u;
   static constexpr size_t kGetrangeChunk = 1024;
 
   template <typename F>
   size_t getrange(std::string_view key, size_t n, unsigned col, F&& emit, Session& s) const {
+    // A getrange nested in another's emit callback on the same session gets
+    // a cursor of its own instead of re-aiming the resident one under it.
+    ScanCursor<Tree::Config> nested;
+    ScanCursor<Tree::Config>& cur = s.scan_busy_ ? nested : s.scan_cur_;
+    tree_->reset_scan_cursor(cur, key);
+    struct Lease {
+      bool* busy;
+      bool was_busy;
+      ~Lease() { *busy = was_busy; }
+    } lease{&s.scan_busy_, s.scan_busy_};
+    s.scan_busy_ = true;
     size_t emitted = 0;
-    ScanCursor<Tree::Config> cur = tree_->scan_cursor(key);
     bool stop = false;
     while (!stop && emitted < n) {
       EpochGuard guard(s.ti_.slot());

@@ -197,8 +197,6 @@ class TxRing {
     }
   }
 
-  void patch_u8(uint64_t pos, uint8_t v) { buf_[index(pos)] = static_cast<char>(v); }
-
   uint8_t peek_u8(uint64_t pos) const { return static_cast<uint8_t>(buf_[index(pos)]); }
 
   // Gather the buffered (possibly wrapped) bytes into at most two iovecs.

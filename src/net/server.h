@@ -7,22 +7,24 @@
 // Each worker owns an epoll set of N nonblocking connections plus one
 // StoreT::Session (thread context + log partition) — session-per-worker, not
 // session-per-connection, so a worker serving hundreds of clients still pays
-// one epoch slot and one log shard. On every wakeup the worker
+// one epoch slot and one log shard. Every worker serves any key from the one
+// shared tree (the paper's case against partitioned routing, Figure 11). On
+// every wakeup the worker
 //
 //   1. drains all readable connections into their per-connection rx buffers
 //      (netframe::InBuffer; the decoder resumes across short reads),
 //   2. parses every complete frame's ops in place — keys stay views into the
 //      rx buffer, no allocation per request in steady state,
-//   3. forms batches ACROSS connections: maximal runs of read ops (kGet,
-//      kMultiGet) from every connection are coalesced into single
-//      Tree::multiget drives, and maximal runs of write ops (kPut, kRemove,
-//      kMultiPut) are coalesced symmetrically into single Store::multiput
-//      drives (§4.8/PALM — both pipelined paths apply to independent network
-//      clients, not just in-process callers), while scans interleave inline.
-//      Each connection still sees its own ops execute in order: a connection
-//      contributes exactly one run per round, and within a round its reads
-//      execute before its next write would (read-your-writes per connection
-//      holds),
+//   3. runs one op-run pipeline ACROSS connections: each connection
+//      contributes its next maximal run of same-kind ops per round — reads
+//      (kGet, kMultiGet) join the round's read batch, writes (kPut, kRemove,
+//      kMultiPut) its write batch, scans/pings/rejections execute inline.
+//      The read batch executes as Store::multiget_rows drives and the write
+//      batch as Store::multiput drives (§4.8/PALM — both pipelined paths
+//      apply to independent network clients, not just in-process callers).
+//      Each connection still sees its own ops execute in order: it
+//      contributes exactly one run per round, and the read batch executes
+//      before the write batch,
 //   4. encodes responses straight into per-connection tx rings and flushes
 //      with writev; a connection whose client stops reading gets EPOLLOUT
 //      re-arm and an rx pause above the tx high-water mark — never a blocked
@@ -31,10 +33,19 @@
 // The listener is itself routed through worker 0's epoll set, so accept()
 // never blocks anywhere: stop() wakes every worker via its eventfd, joins,
 // and only then closes the listen fd (the shutdown/accept race of the old
-// blocking server is structurally gone).
+// blocking server is structurally gone). When accept4 runs out of file
+// descriptors, the listener's interest is dropped until a connection closes
+// or kAcceptBackoffMs passes, so the level-triggered listener cannot spin
+// worker 0.
 //
-// Scans execute inline through StoreT::getrange, which drives the engine's
-// snapshot-batched ScanCursor (§3) — the other batch entry point.
+// The backend contract (StoreT) is Store's batched seams and nothing else:
+//   - Session(StoreT&, unsigned worker_id) with ti() (epoch slot, counters),
+//   - multiget_rows(keys, rows, session): row pointers, read under the
+//     caller's EpochGuard,
+//   - multiput(span<PutOp>, session) over Store::PutOp: fills each op's
+//     inserted/found, or sets rejected once the store is read-only,
+//   - getrange(key, n, col, emit, session): scans, executed inline through
+//     the engine's snapshot-batched ScanCursor (§3).
 
 #ifndef MASSTREE_NET_SERVER_H_
 #define MASSTREE_NET_SERVER_H_
@@ -58,7 +69,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/record_cache.h"  // key_hash64: shared with the record cache
 #include "kvstore/store.h"
 #include "net/framing.h"
 #include "net/proto.h"
@@ -66,56 +76,6 @@
 
 namespace masstree {
 
-// Backends that provide Store's raw batched-read seam get cross-connection
-// batch formation into Tree::multiget; others (§6.3 alternative backends)
-// fall back to sequential gets.
-template <typename S>
-concept HasMultigetRows =
-    requires(const S& s, std::span<const std::string_view> keys, const Row** rows,
-             typename S::Session& sess) {
-      { s.multiget_rows(keys, rows, sess) } -> std::convertible_to<size_t>;
-    };
-
-// Backends with the batched-write seam (Store::multiput over Store::PutOp)
-// get symmetric cross-connection write coalescing; others execute writes
-// inline, one store call per op, exactly as before.
-template <typename S>
-concept HasMultiput =
-    requires(S& s, std::span<typename S::PutOp> ops, typename S::Session& sess) {
-      { s.multiput(ops, sess) } -> std::convertible_to<size_t>;
-    };
-
-// Backends whose write paths report read-only degradation (Store's checked
-// variants) get the kReadOnly wire status; others keep the plain bool API
-// and can never refuse a write.
-template <typename S>
-concept HasCheckedWrites =
-    requires(S& s, std::string_view key, const std::vector<ColumnUpdate>& upd,
-             typename S::Session& sess) {
-      { s.put_checked(key, upd, sess) };
-      { s.remove_checked(key, sess) };
-      { s.read_only() } -> std::convertible_to<bool>;
-    };
-
-namespace netdetail {
-// The write-batch pools hold StoreT::PutOp elements, a type that only exists
-// for multiput-capable backends; this indirection keeps BasicServer
-// instantiable for the others (the pools degenerate to an empty-struct
-// vector that is never touched).
-template <typename S, bool = HasMultiput<S>>
-struct PutOpPool {
-  using type = std::vector<typename S::PutOp>;
-};
-template <typename S>
-struct PutOpPool<S, false> {
-  struct None {};
-  using type = std::vector<None>;
-};
-}  // namespace netdetail
-
-// The server is a template so alternative backends (§6.3 benches a binary
-// tree behind the same network stack) can reuse it; any type with Store's
-// Session/get/put/remove/getrange interface works.
 template <typename StoreT = Store>
 class BasicServer {
  public:
@@ -127,13 +87,6 @@ class BasicServer {
     // that connection until the client drains it below half the mark. Other
     // connections on the worker are unaffected.
     size_t tx_highwater = 1 << 20;
-    // Partition-affinity routing (Figure 11 / the MaxScale-style ROADMAP
-    // item): a connection migrates to the worker owning
-    // hash(first key) % workers on its first keyed frame, and kMultiGet keys
-    // are steered per key to their owners' sessions, so a hot key's tree
-    // cache lines and record-cache bucket are touched by one core. The tree
-    // underneath stays shared — no partitioning load-imbalance cliff.
-    bool affinity_routing = false;
     // Idle-connection reaping (the slow-loris guard): a connection that has
     // not delivered a complete frame for this many milliseconds is closed by
     // its worker's periodic sweep (counted by Counter::kNetIdleReaped). A
@@ -176,7 +129,7 @@ class BasicServer {
     }
     // The listener lives in worker 0's epoll set: accepts are just another
     // event, and there is no dedicated acceptor thread to race with close().
-    workers_[0]->add_listener(listen_fd_);
+    workers_[0]->add_listener();
     for (unsigned w = 0; w < opt_.workers; ++w) {
       workers_[w]->thread = std::thread([this, w] { workers_[w]->run(); });
     }
@@ -211,46 +164,28 @@ class BasicServer {
   // through a formed batch coalescing >= 2 request ops, and the number of
   // such batches. (Workers also count Counter::kNetBatchedGets in their
   // sessions' ThreadCounters.)
-  uint64_t batched_gets() const { return batched_gets_.load(std::memory_order_relaxed); }
-  uint64_t batches_formed() const {
-    return batches_formed_.load(std::memory_order_relaxed);
-  }
-  // Write-side twins: puts/removes that reached Store::multiput through a
+  uint64_t batched_gets() const { return batched_[kRead].load(std::memory_order_relaxed); }
+  uint64_t batches_formed() const { return formed_[kRead].load(std::memory_order_relaxed); }
+  // The same for writes: puts/removes that reached Store::multiput through a
   // formed batch coalescing >= 2 request ops, and the number of such
   // batches. (Workers also count Counter::kNetBatchedPuts.)
-  uint64_t batched_puts() const { return batched_puts_.load(std::memory_order_relaxed); }
-  uint64_t wbatches_formed() const {
-    return wbatches_formed_.load(std::memory_order_relaxed);
-  }
-
-  // ---- partition-affinity routing ------------------------------------
-  // The ownership function. Same hash as the record cache's buckets
-  // (cache/record_cache.h), so the worker a key routes to also owns the
-  // cache traffic for that key.
-  static unsigned route_worker(std::string_view key, unsigned nworkers) {
-    return nworkers <= 1 ? 0 : static_cast<unsigned>(key_hash64(key) % nworkers);
-  }
-  unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
-  // Keyed ops whose tree/store work ran on worker w's session: inline
-  // writes/scans, locally-executed batch keys, and steered keys it drained
-  // from its mailbox. The affinity tests' observable.
-  uint64_t keyed_ops(unsigned w) const {
-    return workers_[w]->keyed.load(std::memory_order_relaxed);
-  }
-  // Batched-read keys shipped to their owning worker's session.
-  uint64_t steered_gets() const {
-    return steered_gets_.load(std::memory_order_relaxed);
-  }
-  // Batched-write ops shipped to their owning worker's session.
-  uint64_t steered_puts() const {
-    return steered_puts_.load(std::memory_order_relaxed);
-  }
+  uint64_t batched_puts() const { return batched_[kWrite].load(std::memory_order_relaxed); }
+  uint64_t wbatches_formed() const { return formed_[kWrite].load(std::memory_order_relaxed); }
   // Connections closed by the idle sweep (Options::idle_timeout_ms).
   uint64_t idle_reaped() const {
     return idle_reaped_.load(std::memory_order_relaxed);
   }
 
  private:
+  // What a parsed op joins in a round: the read batch, the write batch, or
+  // inline execution (scans, pings, empty frames, rejections).
+  enum Kind : uint8_t { kRead = 0, kWrite = 1, kInline = 2 };
+
+  // Accept backoff after EMFILE/ENFILE: long enough that a listener whose
+  // pending connections cannot be accepted costs a few wakeups per second,
+  // short enough that fds freed on other workers are picked up promptly.
+  static constexpr int kAcceptBackoffMs = 10;
+
   struct Conn {
     int fd = -1;
     size_t idx = 0;  // position in Worker::conns
@@ -264,7 +199,6 @@ class BasicServer {
     bool paused = false;       // rx interest dropped (tx over high water)
     bool queued = false;       // already on this wakeup's ready list
     bool dead = false;         // fd closed; reaped at end of wakeup
-    bool routed = false;       // affinity decision made; stays on this worker
     uint64_t last_active_ns = 0;  // last complete frame (or adoption time)
   };
 
@@ -295,42 +229,14 @@ class BasicServer {
     uint64_t frame_len_pos = 0;
   };
 
-  // One batchable read op's slot in the formed batch.
-  struct BatchRef {
-    uint32_t work;     // -> works
-    uint32_t opi;      // -> ops
-    uint32_t key_off;  // first key in batch_keys
-    uint32_t nkeys;
-  };
-
-  // One batchable write op's slot in the formed write batch: `nops`
-  // StoreT::PutOps starting at store_ops[op_off] (kPut/kRemove contribute
-  // one, kMultiPut one per wire entry).
-  struct WBatchRef {
-    uint32_t work;    // -> works
-    uint32_t opi;     // -> ops
-    uint32_t op_off;  // first op in store_ops
-    uint32_t nops;
-  };
-
-  // One steered slice of a formed batch: the owning worker runs `keys`
-  // through its own session, writes `rows`, then bumps *done (release; the
-  // spinning origin's acquire load makes the row writes visible).
-  struct RemoteGetJob {
-    const std::string_view* keys;
-    size_t nkeys;
-    const Row** rows;
-    std::atomic<uint32_t>* done;
-  };
-
-  // Write-side steering twin: the owner runs `ops` (a StoreT::PutOp array,
-  // type-erased so non-multiput backends still instantiate) through its own
-  // session's Store::multiput, filling each op's inserted/found results,
-  // then bumps *done.
-  struct RemoteWriteJob {
-    void* ops;
-    size_t nops;
-    std::atomic<uint32_t>* done;
+  // One batched op's slot in its kind's batch: `n` entries starting at
+  // batch_keys[off] (reads) or store_ops[off] (writes). Single-key ops
+  // contribute one entry, kMultiGet/kMultiPut one per wire entry.
+  struct RunRef {
+    uint32_t work;  // -> works
+    uint32_t opi;   // -> ops
+    uint32_t off;
+    uint32_t n;
   };
 
   struct Worker {
@@ -353,27 +259,20 @@ class BasicServer {
           ::close(c->fd);
         }
       }
-      for (auto& p : pending) {
-        ::close(p.fd);  // handed off but never adopted (shutdown won the race)
+      for (int fd : pending) {
+        ::close(fd);  // handed off but never adopted (shutdown won the race)
       }
       ::close(wakefd);
       ::close(epfd);
     }
 
-    void add_listener(int lfd) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = &listen_tag;
-      ::epoll_ctl(epfd, EPOLL_CTL_ADD, lfd, &ev);
-    }
+    void add_listener() { set_listen_interest(EPOLLIN, EPOLL_CTL_ADD); }
 
-    // Cross-thread handoff of a connection: a freshly-accepted fd (from the
-    // accepting worker), or an affinity migration arriving with its
-    // unconsumed rx bytes.
-    void add_connection(int fd, std::string carry = std::string(), bool routed = false) {
+    // Cross-thread handoff of a freshly-accepted fd from the accepting worker.
+    void add_connection(int fd) {
       {
         std::lock_guard<std::mutex> lock(mu);
-        pending.push_back(PendingConn{fd, std::move(carry), routed});
+        pending.push_back(fd);
       }
       wake();
     }
@@ -402,7 +301,11 @@ class BasicServer {
       }
       last_idle_sweep_ns = now_ns();
       while (!stop.load(std::memory_order_acquire)) {
-        int n = ::epoll_wait(epfd, evs, 128, wait_ms);
+        int timeout = wait_ms;
+        if (accept_paused && (timeout < 0 || timeout > kAcceptBackoffMs)) {
+          timeout = kAcceptBackoffMs;  // the backoff must expire even when idle
+        }
+        int n = ::epoll_wait(epfd, evs, 128, timeout);
         if (n < 0) {
           if (errno == EINTR) {
             continue;
@@ -414,7 +317,6 @@ class BasicServer {
           if (p == &wake_tag) {
             drain_wake();
             adopt_pending();
-            drain_jobs();
             continue;
           }
           if (p == &listen_tag) {
@@ -445,11 +347,11 @@ class BasicServer {
         }
         reap();
         reap_idle();
+        if (accept_paused &&
+            now_ns() - accept_paused_ns >= kAcceptBackoffMs * 1000000ull) {
+          resume_accept();
+        }
       }
-      // Steered work may have been shipped to us as we were exiting; finish
-      // it so origins spinning on it can stop. (They also steal unstarted
-      // jobs back once stopping_ is set — this is the cooperative half.)
-      drain_jobs();
     }
 
    private:
@@ -459,7 +361,14 @@ class BasicServer {
         int fd = ::accept4(server.listen_fd_, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
-          return;  // EAGAIN, or transient (ECONNABORTED/EMFILE): just stop
+          if (errno == EMFILE || errno == ENFILE) {
+            // The pending connection stays queued and the level-triggered
+            // listener stays readable: stop listening until an fd frees up.
+            accept_paused = true;
+            accept_paused_ns = now_ns();
+            set_listen_interest(0, EPOLL_CTL_MOD);
+          }
+          return;  // EAGAIN, or transient (ECONNABORTED): just stop
         }
         unsigned target = rr_next++ % static_cast<unsigned>(server.workers_.size());
         if (target == id) {
@@ -468,6 +377,18 @@ class BasicServer {
           server.workers_[target]->add_connection(fd);
         }
       }
+    }
+
+    void resume_accept() {
+      accept_paused = false;
+      set_listen_interest(EPOLLIN, EPOLL_CTL_MOD);
+    }
+
+    void set_listen_interest(uint32_t events, int op) {
+      epoll_event ev{};
+      ev.events = events;
+      ev.data.ptr = &listen_tag;
+      ::epoll_ctl(epfd, op, server.listen_fd_, &ev);
     }
 
     void drain_wake() {
@@ -482,19 +403,18 @@ class BasicServer {
         std::lock_guard<std::mutex> lock(mu);
         adopted.swap(pending);
       }
-      for (PendingConn& p : adopted) {
-        adopt(p.fd, std::move(p.carry), p.routed);
+      for (int fd : adopted) {
+        adopt(fd);
       }
     }
 
-    void adopt(int fd, std::string carry = std::string(), bool routed = false) {
+    void adopt(int fd) {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto c = std::make_unique<Conn>();
       c->fd = fd;
       c->idx = conns.size();
       c->events = EPOLLIN;
-      c->routed = routed;
       c->last_active_ns = now_ns();
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -503,16 +423,7 @@ class BasicServer {
         ::close(fd);
         return;
       }
-      if (!carry.empty()) {
-        // A migrated connection arrives with every unconsumed rx byte —
-        // complete frames first in line, any trailing partial frame resumed
-        // by the decoder — so per-connection op order survives the move.
-        c->rx.append(carry);
-      }
       conns.push_back(std::move(c));
-      if (conns.back()->rx.size() > 0) {
-        queue_ready(conns.back().get());  // run the carried frames this wakeup
-      }
     }
 
     // ---- per-connection IO ---------------------------------------------
@@ -628,6 +539,9 @@ class BasicServer {
       ::close(c->fd);  // also removes it from the epoll set
       c->dead = true;
       dying.push_back(c);
+      if (accept_paused) {
+        resume_accept();  // an fd just freed up for a backlogged connection
+      }
     }
 
     void reap() {
@@ -659,9 +573,7 @@ class BasicServer {
           continue;  // already on its way out
         }
         if (now - c->last_active_ns >= window_ns) {
-          if constexpr (requires { session.ti().counters(); }) {
-            session.ti().counters().inc(Counter::kNetIdleReaped);
-          }
+          session.ti().counters().inc(Counter::kNetIdleReaped);
           server.idle_reaped_.fetch_add(1, std::memory_order_relaxed);
           close_conn(c);
         }
@@ -889,38 +801,11 @@ class BasicServer {
           continue;  // round full; the post-execute sweep re-queues c
         }
         uint32_t begin = static_cast<uint32_t>(ops.size());
-        size_t cols_mark = cols_pool.size();
-        size_t upd_mark = upd_pool.size();
-        size_t keys_mark = keys_pool.size();
-        size_t wcnt_mark = wcnt_pool.size();
         c->parsed = parse_frames(c);
         if (c->parsed > 0) {
           // Only a COMPLETE frame counts as liveness; bytes trickling in
           // below a frame boundary never refresh the idle clock.
           c->last_active_ns = now_ns();
-        }
-        if (server.opt_.affinity_routing && !c->routed && !c->proto_error &&
-            !c->eof && server.workers_.size() > 1 && ops.size() > begin) {
-          unsigned owner;
-          if (first_keyed_owner(begin, &owner)) {
-            if (owner == id) {
-              c->routed = true;  // landed right; never re-examine
-            } else {
-              // Re-steer the whole connection to its first key's owner: roll
-              // the parse back, unhook the fd WITHOUT closing it, and ship
-              // it (plus every unconsumed rx byte) to the owner.
-              ops.resize(begin);
-              cols_pool.resize(cols_mark);
-              upd_pool.resize(upd_mark);
-              keys_pool.resize(keys_mark);
-              wcnt_pool.resize(wcnt_mark);
-              c->parsed = 0;
-              migrate(c, owner);
-              continue;
-            }
-          }
-          // No keyed op yet (pings / empty frames): execute locally and keep
-          // the connection unrouted until a keyed frame shows up.
         }
         if (ops.size() > begin) {
           works.push_back(ConnWork{c, begin, static_cast<uint32_t>(ops.size()), false, 0});
@@ -955,39 +840,6 @@ class BasicServer {
       }
     }
 
-    // Scans this connection's freshly-parsed ops for the first one naming a
-    // key and reports that key's owning worker. False if none do (pings).
-    bool first_keyed_owner(uint32_t begin, unsigned* owner) const {
-      for (size_t i = begin; i < ops.size(); ++i) {
-        const ParsedOp& p = ops[i];
-        if (p.empty_frame || p.op == NetOp::kPing) {
-          continue;
-        }
-        std::string_view key = p.key;
-        if (p.op == NetOp::kMultiGet || p.op == NetOp::kMultiPut) {
-          if (p.keys_cnt == 0) {
-            continue;
-          }
-          key = keys_pool[p.keys_off];
-        }
-        *owner = route_worker(key, static_cast<unsigned>(server.workers_.size()));
-        return true;
-      }
-      return false;
-    }
-
-    // Hand the connection to `owner`: the fd leaves our epoll set unclosed,
-    // and the dead local Conn is reaped at end of wakeup. The carry string
-    // is the one allocation a migration costs, paid once per connection.
-    void migrate(Conn* c, unsigned owner) {
-      ::epoll_ctl(epfd, EPOLL_CTL_DEL, c->fd, nullptr);
-      int fd = c->fd;
-      std::string carry(c->rx.view());
-      c->dead = true;  // fd ownership transfers; dtor must not close it
-      dying.push_back(c);
-      server.workers_[owner]->add_connection(fd, std::move(carry), /*routed=*/true);
-    }
-
     bool has_complete_frame(const Conn* c) const {
       std::string_view body;
       size_t flen = 0;
@@ -995,606 +847,218 @@ class BasicServer {
              netframe::FrameStatus::kFrame;
     }
 
-    // Alternating rounds: every connection contributes its maximal run of
-    // batchable reads to the shared read batch, its maximal run of batchable
-    // writes to the shared write batch, or executes its scans/pings inline —
-    // so per connection ops run strictly in order (one run per connection
-    // per round, reads executing before writes within the round), while
-    // reads from MANY connections coalesce into one multiget and writes
-    // into one multiput.
+    // The op-run pipeline: every round, each connection contributes its next
+    // maximal run of same-kind ops — reads to the shared read batch, writes
+    // to the shared write batch, or inline ops executed on the spot. Per
+    // connection, ops run strictly in order (one run per connection per
+    // round, the read batch executing before the write batch), while reads
+    // from MANY connections coalesce into one multiget and writes into one
+    // multiput.
     void execute_rounds() {
       uint64_t executed = 0;
       bool more = true;
       while (more) {
         more = false;
         batch_keys.clear();
-        batch_refs.clear();
-        wbatch_refs.clear();
         store_ops.clear();
+        refs[kRead].clear();
+        refs[kWrite].clear();
         for (uint32_t w = 0; w < works.size(); ++w) {
           ConnWork& cw = works[w];
           if (cw.next >= cw.end || cw.c->dead) {
             continue;
           }
           more = true;
-          if (batchable(ops[cw.next])) {
-            while (cw.next < cw.end && batchable(ops[cw.next])) {
-              ParsedOp& p = ops[cw.next];
-              BatchRef ref{w, cw.next, static_cast<uint32_t>(batch_keys.size()), 0};
-              if (p.op == NetOp::kGet) {
-                ref.nkeys = 1;
-                batch_keys.push_back(p.key);
-              } else {  // kMultiGet
-                ref.nkeys = p.keys_cnt;
-                for (uint32_t i = 0; i < p.keys_cnt; ++i) {
-                  batch_keys.push_back(keys_pool[p.keys_off + i]);
-                }
-              }
-              batch_refs.push_back(ref);
-              ++cw.next;
-            }
-          } else if (wbatchable(ops[cw.next])) {
-            if constexpr (HasMultiput<StoreT>) {
-              while (cw.next < cw.end && wbatchable(ops[cw.next])) {
-                ParsedOp& p = ops[cw.next];
-                WBatchRef ref{w, cw.next, static_cast<uint32_t>(store_ops.size()), 0};
-                if (p.op == NetOp::kPut) {
-                  ref.nops = 1;
-                  push_store_op(p.key, p.upd_off, p.upd_cnt, /*remove=*/false);
-                } else if (p.op == NetOp::kRemove) {
-                  ref.nops = 1;
-                  push_store_op(p.key, 0, 0, /*remove=*/true);
-                } else {  // kMultiPut: one store op per wire entry
-                  ref.nops = p.keys_cnt;
-                  uint32_t uo = p.upd_off;
-                  for (uint32_t i = 0; i < p.keys_cnt; ++i) {
-                    uint32_t cnt = wcnt_pool[p.cols_off + i];
-                    push_store_op(keys_pool[p.keys_off + i], uo, cnt,
-                                  /*remove=*/false);
-                    uo += cnt;
-                  }
-                }
-                wbatch_refs.push_back(ref);
-                ++cw.next;
-              }
-            }
-          } else {
-            while (cw.next < cw.end && !batchable(ops[cw.next]) &&
-                   !wbatchable(ops[cw.next])) {
+          Kind kind = classify(ops[cw.next]);
+          for (; cw.next < cw.end && classify(ops[cw.next]) == kind; ++cw.next) {
+            if (kind == kInline) {
               execute_inline(cw, ops[cw.next]);
-              ++cw.next;
               ++executed;
+            } else {
+              refs[kind].push_back(add_entries(kind, w, cw.next));
             }
           }
         }
-        if (!batch_refs.empty()) {
-          execute_batch();
-          executed += batch_refs.size();
-        }
-        if (!wbatch_refs.empty()) {
-          execute_wbatch();
-          executed += wbatch_refs.size();
-        }
+        executed += execute_batch<kRead>();  // reads first: the order contract
+        executed += execute_batch<kWrite>();
       }
       if (executed > 0) {
         server.ops_served_.fetch_add(executed, std::memory_order_relaxed);
       }
     }
 
-    static bool batchable(const ParsedOp& p) {
-      return !p.empty_frame && !p.rejected &&
-             (p.op == NetOp::kGet || p.op == NetOp::kMultiGet);
-    }
-
-    static bool wbatchable(const ParsedOp& p) {
-      if constexpr (!HasMultiput<StoreT>) {
-        return false;  // writes stay inline for backends without the seam
+    static Kind classify(const ParsedOp& p) {
+      if (p.empty_frame || p.rejected) {
+        return kInline;
       }
-      return !p.empty_frame && !p.rejected &&
-             (p.op == NetOp::kPut || p.op == NetOp::kRemove ||
-              p.op == NetOp::kMultiPut);
-    }
-
-    // Appends one StoreT::PutOp to the forming write batch. The updates span
-    // points into upd_pool, which is append-only until the round executes.
-    void push_store_op(std::string_view key, uint32_t upd_off, uint32_t upd_cnt,
-                       bool remove) {
-      if constexpr (HasMultiput<StoreT>) {
-        typename StoreT::PutOp op;
-        op.key = key;
-        op.updates =
-            std::span<const ColumnUpdate>(upd_pool.data() + upd_off, upd_cnt);
-        op.remove = remove;
-        store_ops.push_back(op);
+      switch (p.op) {
+        case NetOp::kGet:
+        case NetOp::kMultiGet:
+          return kRead;
+        case NetOp::kPut:
+        case NetOp::kRemove:
+        case NetOp::kMultiPut:
+          return kWrite;
+        default:
+          return kInline;
       }
     }
 
-    // Executes the formed batch through the engine's pipelined read path in
-    // chunks of at most kMaxMultigetBatch keys, each under one epoch guard
-    // (rows are epoch-protected pointers; encoding happens inside the guard).
-    void execute_batch() {
-      if (batch_refs.size() >= 2) {
-        if constexpr (HasMultigetRows<StoreT>) {
-          session.ti().counters().inc(Counter::kNetBatchedGets, batch_keys.size());
-        }
-        server.batched_gets_.fetch_add(batch_keys.size(), std::memory_order_relaxed);
-        server.batches_formed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      size_t ref_begin = 0;
-      while (ref_begin < batch_refs.size()) {
-        size_t ref_end = ref_begin;
-        size_t nkeys = 0;
-        while (ref_end < batch_refs.size() &&
-               nkeys + batch_refs[ref_end].nkeys <= kMaxMultigetBatch) {
-          nkeys += batch_refs[ref_end].nkeys;
-          ++ref_end;
-        }
-        if (ref_end == ref_begin) {
-          ++ref_end;  // single over-cap ref cannot happen (kMultiGet is capped)
-        }
-        execute_chunk(ref_begin, ref_end);
-        ref_begin = ref_end;
-      }
-    }
-
-    void execute_chunk(size_t ref_begin, size_t ref_end) {
-      size_t key_off = batch_refs[ref_begin].key_off;
-      size_t nkeys =
-          batch_refs[ref_end - 1].key_off + batch_refs[ref_end - 1].nkeys - key_off;
-      if constexpr (HasMultigetRows<StoreT>) {
-        batch_rows.resize(nkeys);
-        EpochGuard guard(session.ti().slot());
-        if (server.opt_.affinity_routing && server.workers_.size() > 1) {
-          steer_chunk(key_off, nkeys);
+    // Appends op `opi`'s entries to its kind's batch: keys for a read,
+    // StoreT::PutOps for a write. Update spans point into upd_pool, which is
+    // append-only until the round executes.
+    RunRef add_entries(Kind kind, uint32_t work, uint32_t opi) {
+      const ParsedOp& p = ops[opi];
+      bool multi = p.op == NetOp::kMultiGet || p.op == NetOp::kMultiPut;
+      uint32_t n = multi ? p.keys_cnt : 1;
+      if (kind == kRead) {
+        RunRef ref{work, opi, static_cast<uint32_t>(batch_keys.size()), n};
+        if (multi) {
+          batch_keys.insert(batch_keys.end(), keys_pool.begin() + p.keys_off,
+                            keys_pool.begin() + p.keys_off + n);
         } else {
+          batch_keys.push_back(p.key);
+        }
+        return ref;
+      }
+      RunRef ref{work, opi, static_cast<uint32_t>(store_ops.size()), n};
+      uint32_t uo = p.upd_off;
+      for (uint32_t i = 0; i < n; ++i) {
+        typename StoreT::PutOp op;
+        uint32_t cnt = multi ? wcnt_pool[p.cols_off + i] : p.upd_cnt;
+        op.key = multi ? keys_pool[p.keys_off + i] : p.key;
+        op.updates = std::span<const ColumnUpdate>(upd_pool.data() + uo, cnt);
+        op.remove = p.op == NetOp::kRemove;
+        store_ops.push_back(op);
+        uo += cnt;
+      }
+      return ref;
+    }
+
+    // Executes one kind's formed batch in chunks of at most kMaxMultigetBatch
+    // entries. A read chunk is one multiget_rows drive whose rows are encoded
+    // inside its EpochGuard (rows are epoch-protected pointers); a write
+    // chunk is one Store::multiput (its own guard and grouped log append),
+    // whose per-op flags are encoded afterwards. Instantiated per kind, so
+    // each batch loop compiles to only its own seam and encoder. Returns the
+    // number of ops executed.
+    template <Kind kind>
+    size_t execute_batch() {
+      const std::vector<RunRef>& rs = refs[kind];
+      size_t entries = kind == kRead ? batch_keys.size() : store_ops.size();
+      if (rs.size() >= 2) {
+        session.ti().counters().inc(
+            kind == kRead ? Counter::kNetBatchedGets : Counter::kNetBatchedPuts, entries);
+        server.batched_[kind].fetch_add(entries, std::memory_order_relaxed);
+        server.formed_[kind].fetch_add(1, std::memory_order_relaxed);
+      }
+      for (size_t b = 0; b < rs.size();) {
+        // Every op fits a chunk on its own: kMultiGet/kMultiPut over the cap
+        // were rejected at parse time.
+        size_t e = b, n = 0;
+        do {
+          n += rs[e++].n;
+        } while (e < rs.size() && n + rs[e].n <= kMaxMultigetBatch);
+        size_t off = rs[b].off;
+        if constexpr (kind == kRead) {
+          batch_rows.resize(n);
+          EpochGuard guard(session.ti().slot());
           server.store_.multiget_rows(
-              std::span<const std::string_view>(batch_keys).subspan(key_off, nkeys),
+              std::span<const std::string_view>(batch_keys).subspan(off, n),
               batch_rows.data(), session);
-          keyed.fetch_add(nkeys, std::memory_order_relaxed);
-        }
-        for (size_t r = ref_begin; r < ref_end; ++r) {
-          encode_batch_ref(batch_refs[r],
-                           [&](size_t key_idx, netframe::TxRing& tx, uint32_t cols_off,
-                               uint32_t cols_cnt) {
-                             encode_row(tx, batch_rows[key_idx - key_off], cols_off,
-                                        cols_cnt);
-                           });
-        }
-      } else {
-        // §6.3-style backends without the batched seam: plain sequential
-        // gets, but the event-loop and framing behavior stays identical.
-        keyed.fetch_add(nkeys, std::memory_order_relaxed);
-        for (size_t r = ref_begin; r < ref_end; ++r) {
-          encode_batch_ref(batch_refs[r], [&](size_t key_idx, netframe::TxRing& tx,
-                                              uint32_t cols_off, uint32_t cols_cnt) {
-            col_scratch.assign(cols_pool.begin() + cols_off,
-                               cols_pool.begin() + cols_off + cols_cnt);
-            bool found =
-                server.store_.get(batch_keys[key_idx], col_scratch, &cols_out, session);
-            if (!found) {
-              tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kNotFound));
-              return;
-            }
-            tx.template put<uint8_t>(0);
-            tx.template put<uint16_t>(static_cast<uint16_t>(cols_out.size()));
-            for (const auto& v : cols_out) {
-              tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-              tx.append(v);
-            }
-          });
-        }
-      }
-    }
-
-    // ---- per-key affinity steering (kMultiGet and cross-conn batches) ---
-    // Partition the chunk's keys by owning worker: the local slice runs on
-    // this worker's session, remote slices ship as RemoteGetJobs through the
-    // owners' mailboxes (existing eventfd wake path). The caller's epoch
-    // guard stays pinned across ship -> wait -> encode, which is what makes
-    // the owner-written Row pointers safe to read here: any row an owner
-    // could still reach was retired no earlier than one epoch before our
-    // pin, and reclaim frees only two epochs past the retire — impossible
-    // while we stay pinned.
-    void steer_chunk(size_t key_off, size_t nkeys) {
-      unsigned nw = static_cast<unsigned>(server.workers_.size());
-      if (steer_keys.size() < nw) {
-        steer_keys.resize(nw);
-        steer_rows.resize(nw);
-        steer_map.resize(nw);
-      }
-      for (unsigned o = 0; o < nw; ++o) {
-        steer_keys[o].clear();
-        steer_map[o].clear();
-      }
-      for (size_t i = 0; i < nkeys; ++i) {
-        std::string_view k = batch_keys[key_off + i];
-        unsigned o = route_worker(k, nw);
-        steer_keys[o].push_back(k);
-        steer_map[o].push_back(static_cast<uint32_t>(i));
-      }
-      std::atomic<uint32_t> done{0};
-      uint32_t njobs = 0;
-      for (unsigned o = 0; o < nw; ++o) {
-        if (o == id || steer_keys[o].empty()) {
-          continue;
-        }
-        steer_rows[o].assign(steer_keys[o].size(), nullptr);
-        Worker& w = *server.workers_[o];
-        {
-          std::lock_guard<std::mutex> lock(w.jobs_mu);
-          w.jobs.push_back(RemoteGetJob{steer_keys[o].data(), steer_keys[o].size(),
-                                        steer_rows[o].data(), &done});
-        }
-        w.wake();
-        ++njobs;
-        server.steered_gets_.fetch_add(steer_keys[o].size(),
-                                       std::memory_order_relaxed);
-      }
-      if (!steer_keys[id].empty()) {
-        steer_rows[id].assign(steer_keys[id].size(), nullptr);
-        server.store_.multiget_rows(
-            std::span<const std::string_view>(steer_keys[id]),
-            steer_rows[id].data(), session);
-        keyed.fetch_add(steer_keys[id].size(), std::memory_order_relaxed);
-      }
-      // Wait for the owners, draining OUR mailbox meanwhile (two workers
-      // steering into each other would otherwise deadlock); once stopping_
-      // is set, also steal our unstarted jobs back from workers that may
-      // already have left their loops.
-      while (done.load(std::memory_order_acquire) < njobs) {
-        if (drain_jobs() == 0) {
-          if (server.stopping_.load(std::memory_order_acquire)) {
-            steal_back(&done);
-          }
-          std::this_thread::yield();
-        }
-      }
-      for (unsigned o = 0; o < nw; ++o) {
-        for (size_t j = 0; j < steer_map[o].size(); ++j) {
-          batch_rows[steer_map[o][j]] = steer_rows[o][j];
-        }
-      }
-    }
-
-    // ---- the write batch -------------------------------------------------
-    // Executes the formed write batch through the store's pipelined write
-    // path in chunks of at most kMaxMultigetBatch ops. Store::multiput takes
-    // its own epoch guard and performs its own grouped log append; response
-    // flags are read back from the PutOps afterwards.
-    void execute_wbatch() {
-      if constexpr (HasMultiput<StoreT>) {
-        if (wbatch_refs.size() >= 2) {
-          session.ti().counters().inc(Counter::kNetBatchedPuts, store_ops.size());
-          server.batched_puts_.fetch_add(store_ops.size(), std::memory_order_relaxed);
-          server.wbatches_formed_.fetch_add(1, std::memory_order_relaxed);
-        }
-        size_t ref_begin = 0;
-        while (ref_begin < wbatch_refs.size()) {
-          size_t ref_end = ref_begin;
-          size_t nops = 0;
-          while (ref_end < wbatch_refs.size() &&
-                 nops + wbatch_refs[ref_end].nops <= kMaxMultigetBatch) {
-            nops += wbatch_refs[ref_end].nops;
-            ++ref_end;
-          }
-          if (ref_end == ref_begin) {
-            ++ref_end;  // single over-cap ref cannot happen (kMultiPut is capped)
-          }
-          execute_wchunk(ref_begin, ref_end);
-          ref_begin = ref_end;
-        }
-      }
-    }
-
-    void execute_wchunk(size_t ref_begin, size_t ref_end) {
-      if constexpr (HasMultiput<StoreT>) {
-        size_t op_off = wbatch_refs[ref_begin].op_off;
-        size_t nops = wbatch_refs[ref_end - 1].op_off +
-                      wbatch_refs[ref_end - 1].nops - op_off;
-        if (server.opt_.affinity_routing && server.workers_.size() > 1) {
-          steer_wchunk(op_off, nops);
+          encode_refs<kind>(b, e, off);
         } else {
           server.store_.multiput(
-              std::span<typename StoreT::PutOp>(store_ops).subspan(op_off, nops),
-              session);
-          keyed.fetch_add(nops, std::memory_order_relaxed);
+              std::span<typename StoreT::PutOp>(store_ops).subspan(off, n), session);
+          encode_refs<kind>(b, e, off);
         }
-        for (size_t r = ref_begin; r < ref_end; ++r) {
-          encode_wbatch_ref(wbatch_refs[r]);
-        }
+        b = e;
       }
+      return rs.size();
     }
 
-    // Write-side affinity steering: partition the chunk's ops by owning
-    // worker (same route_worker hash as reads, so a key's writes land on the
-    // core that owns its cache traffic). Remote slices ship as
-    // RemoteWriteJobs; each owner applies its slice through its own session
-    // — separate Store::multiput calls, separate log shards, per-key version
-    // order still correct because one key always hashes to one owner. The
-    // origin spins draining its own mailbox (two workers steering into each
-    // other would otherwise deadlock) and steals unstarted jobs back once
-    // the server is stopping.
-    void steer_wchunk(size_t op_off, size_t nops) {
-      if constexpr (HasMultiput<StoreT>) {
-        unsigned nw = static_cast<unsigned>(server.workers_.size());
-        if (steer_wops.size() < nw) {
-          steer_wops.resize(nw);
-          steer_wmap.resize(nw);
-        }
-        for (unsigned o = 0; o < nw; ++o) {
-          steer_wops[o].clear();
-          steer_wmap[o].clear();
-        }
-        for (size_t i = 0; i < nops; ++i) {
-          const typename StoreT::PutOp& op = store_ops[op_off + i];
-          unsigned o = route_worker(op.key, nw);
-          steer_wops[o].push_back(op);
-          steer_wmap[o].push_back(static_cast<uint32_t>(i));
-        }
-        std::atomic<uint32_t> done{0};
-        uint32_t njobs = 0;
-        for (unsigned o = 0; o < nw; ++o) {
-          if (o == id || steer_wops[o].empty()) {
-            continue;
-          }
-          Worker& w = *server.workers_[o];
-          {
-            std::lock_guard<std::mutex> lock(w.jobs_mu);
-            w.wjobs.push_back(RemoteWriteJob{steer_wops[o].data(),
-                                             steer_wops[o].size(), &done});
-          }
-          w.wake();
-          ++njobs;
-          server.steered_puts_.fetch_add(steer_wops[o].size(),
-                                         std::memory_order_relaxed);
-        }
-        if (!steer_wops[id].empty()) {
-          server.store_.multiput(std::span<typename StoreT::PutOp>(steer_wops[id]),
-                                 session);
-          keyed.fetch_add(steer_wops[id].size(), std::memory_order_relaxed);
-        }
-        while (done.load(std::memory_order_acquire) < njobs) {
-          if (drain_jobs() == 0) {
-            if (server.stopping_.load(std::memory_order_acquire)) {
-              steal_back_writes(&done);
-            }
-            std::this_thread::yield();
-          }
-        }
-        for (unsigned o = 0; o < nw; ++o) {
-          for (size_t j = 0; j < steer_wmap[o].size(); ++j) {
-            typename StoreT::PutOp& dst = store_ops[op_off + steer_wmap[o][j]];
-            dst.inserted = steer_wops[o][j].inserted;
-            dst.found = steer_wops[o][j].found;
-            if constexpr (requires { dst.rejected; }) {
-              dst.rejected = steer_wops[o][j].rejected;
-            }
-          }
-        }
-      }
-    }
-
-    // A multiput backend whose PutOp carries the read-only out-flag (Store)
-    // reports per-op refusal; others can never refuse.
-    template <typename Op>
-    static bool op_rejected(const Op& op) {
-      if constexpr (requires { op.rejected; }) {
-        return op.rejected;
-      } else {
-        return false;
-      }
-    }
-
-    // Encodes one batched write op's response, byte-identical to the inline
-    // encodings (kPut: status + inserted; kRemove: status; kMultiPut: status
-    // + count-prefixed inserted flags). Ops the store refused because it had
-    // degraded to read-only answer with kReadOnly and no payload — the
-    // connection lives on, and its reads keep working.
-    void encode_wbatch_ref(const WBatchRef& ref) {
-      if constexpr (HasMultiput<StoreT>) {
+    // Encodes the responses of refs[kind][b, e), a chunk whose entries start
+    // at `chunk_off` (batch_rows holds the read chunk's rows).
+    template <Kind kind>
+    void encode_refs(size_t b, size_t e, size_t chunk_off) {
+      for (size_t r = b; r < e; ++r) {
+        const RunRef& ref = refs[kind][r];
         ConnWork& cw = works[ref.work];
         if (cw.c->dead) {
-          return;
+          continue;
         }
         const ParsedOp& p = ops[ref.opi];
-        netframe::TxRing& tx = cw.c->tx;
         open_frame(cw);
-        if (p.op == NetOp::kPut) {
-          if (op_rejected(store_ops[ref.op_off])) {
-            tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-          } else {
-            tx.template put<uint8_t>(0);
-            tx.template put<uint8_t>(store_ops[ref.op_off].inserted ? 1 : 0);
-          }
-        } else if (p.op == NetOp::kRemove) {
-          tx.template put<uint8_t>(
-              op_rejected(store_ops[ref.op_off])
-                  ? static_cast<uint8_t>(NetStatus::kReadOnly)
-                  : (store_ops[ref.op_off].found
-                         ? 0
-                         : static_cast<uint8_t>(NetStatus::kNotFound)));
-        } else {  // kMultiPut
-          bool any_rejected = false;
-          for (uint32_t i = 0; i < ref.nops; ++i) {
-            if (op_rejected(store_ops[ref.op_off + i])) {
-              any_rejected = true;
-              break;
-            }
-          }
-          if (any_rejected) {
-            // The batch hit the read-only trip. Entries steered to a worker
-            // whose multiput ran before the trip may have applied; the wire
-            // reports the refusal (kReadOnly is a degraded mode, not a
-            // transaction abort).
-            tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-          } else {
-            tx.template put<uint8_t>(0);
-            tx.template put<uint16_t>(static_cast<uint16_t>(ref.nops));
-            for (uint32_t i = 0; i < ref.nops; ++i) {
-              tx.template put<uint8_t>(store_ops[ref.op_off + i].inserted ? 1 : 0);
-            }
-          }
+        if constexpr (kind == kRead) {
+          encode_read(cw.c->tx, p, batch_rows.data() + (ref.off - chunk_off), ref.n);
+        } else {
+          encode_write(cw.c->tx, p, store_ops.data() + ref.off, ref.n);
         }
         maybe_close_frame(cw, p);
       }
     }
 
-    // Runs every job in this worker's mailbox on this worker's own session.
-    // Called from the wake path, from the steer wait loops, and once after
-    // the event loop exits.
-    size_t drain_jobs() {
-      size_t n = 0;
-      if constexpr (HasMultigetRows<StoreT>) {
-        {
-          std::lock_guard<std::mutex> lock(jobs_mu);
-          jobs_scratch.swap(jobs);
-        }
-        for (const RemoteGetJob& j : jobs_scratch) {
-          EpochGuard guard(session.ti().slot());
-          server.store_.multiget_rows(
-              std::span<const std::string_view>(j.keys, j.nkeys), j.rows, session);
-          keyed.fetch_add(j.nkeys, std::memory_order_relaxed);
-          j.done->fetch_add(1, std::memory_order_release);
-        }
-        n += jobs_scratch.size();
-        jobs_scratch.clear();
-      }
-      if constexpr (HasMultiput<StoreT>) {
-        {
-          std::lock_guard<std::mutex> lock(jobs_mu);
-          wjobs_scratch.swap(wjobs);
-        }
-        for (const RemoteWriteJob& j : wjobs_scratch) {
-          server.store_.multiput(
-              std::span<typename StoreT::PutOp>(
-                  static_cast<typename StoreT::PutOp*>(j.ops), j.nops),
-              session);
-          keyed.fetch_add(j.nops, std::memory_order_relaxed);
-          j.done->fetch_add(1, std::memory_order_release);
-        }
-        n += wjobs_scratch.size();
-        wjobs_scratch.clear();
-      }
-      return n;
-    }
-
-    // Shutdown path: reclaim OUR shipped jobs (matched by done pointer) from
-    // mailboxes nobody may drain again, and run them locally.
-    void steal_back(std::atomic<uint32_t>* done) {
-      if constexpr (HasMultigetRows<StoreT>) {
-        for (auto& wp : server.workers_) {
-          Worker& w = *wp;
-          if (&w == this) {
-            continue;
-          }
-          std::lock_guard<std::mutex> lock(w.jobs_mu);
-          for (size_t i = 0; i < w.jobs.size();) {
-            if (w.jobs[i].done != done) {
-              ++i;
-              continue;
-            }
-            RemoteGetJob j = w.jobs[i];
-            w.jobs[i] = w.jobs.back();
-            w.jobs.pop_back();
-            EpochGuard guard(session.ti().slot());
-            server.store_.multiget_rows(
-                std::span<const std::string_view>(j.keys, j.nkeys), j.rows, session);
-            keyed.fetch_add(j.nkeys, std::memory_order_relaxed);
-            j.done->fetch_add(1, std::memory_order_release);
-          }
-        }
-      }
-    }
-
-    // Shutdown path, write side: reclaim OUR shipped write jobs from
-    // mailboxes nobody may drain again, and run them locally.
-    void steal_back_writes(std::atomic<uint32_t>* done) {
-      if constexpr (HasMultiput<StoreT>) {
-        for (auto& wp : server.workers_) {
-          Worker& w = *wp;
-          if (&w == this) {
-            continue;
-          }
-          std::lock_guard<std::mutex> lock(w.jobs_mu);
-          for (size_t i = 0; i < w.wjobs.size();) {
-            if (w.wjobs[i].done != done) {
-              ++i;
-              continue;
-            }
-            RemoteWriteJob j = w.wjobs[i];
-            w.wjobs[i] = w.wjobs.back();
-            w.wjobs.pop_back();
-            server.store_.multiput(
-                std::span<typename StoreT::PutOp>(
-                    static_cast<typename StoreT::PutOp*>(j.ops), j.nops),
-                session);
-            keyed.fetch_add(j.nops, std::memory_order_relaxed);
-            j.done->fetch_add(1, std::memory_order_release);
-          }
-        }
-      }
-    }
-
-    // Encodes one batched read op's response (kGet: one result; kMultiGet:
-    // count-prefixed results) via `result(key_idx, tx, cols_off, cols_cnt)`.
-    template <typename ResultFn>
-    void encode_batch_ref(const BatchRef& ref, ResultFn&& result) {
-      ConnWork& cw = works[ref.work];
-      if (cw.c->dead) {
-        return;
-      }
-      const ParsedOp& p = ops[ref.opi];
-      netframe::TxRing& tx = cw.c->tx;
-      open_frame(cw);
+    // kGet: status 0 + row, or kNotFound. kMultiGet: status 0, count, then
+    // per key a found byte (1 + row, or 0).
+    void encode_read(netframe::TxRing& tx, const ParsedOp& p, const Row* const* rows,
+                     uint32_t n) {
       if (p.op == NetOp::kGet) {
-        result(ref.key_off, tx, p.cols_off, p.cols_cnt);
-      } else {
-        tx.template put<uint8_t>(0);
-        tx.template put<uint16_t>(static_cast<uint16_t>(ref.nkeys));
-        for (uint32_t i = 0; i < ref.nkeys; ++i) {
-          // kMultiGet wraps each result in a found byte; reuse the single-get
-          // encoding (status 0 == found, kNotFound == absent) by translating.
-          uint64_t mark = tx.end();
-          result(ref.key_off + i, tx, p.cols_off, p.cols_cnt);
-          translate_multiget_status(tx, mark);
+        if (rows[0] == nullptr) {
+          tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kNotFound));
+          return;
         }
-      }
-      maybe_close_frame(cw, p);
-    }
-
-    // The single-get result encoding starts with a status byte (0 found /
-    // kNotFound absent); kMultiGet's per-key encoding starts with a found
-    // byte (1 found / 0 absent). A not-found single-get result is exactly one
-    // byte, so flipping the leading byte in place is a full translation.
-    static void translate_multiget_status(netframe::TxRing& tx, uint64_t status_pos) {
-      tx.patch_u8(status_pos, tx.peek_u8(status_pos) == 0 ? 1 : 0);
-    }
-
-    void encode_row(netframe::TxRing& tx, const Row* row, uint32_t cols_off,
-                    uint32_t cols_cnt) {
-      if (row == nullptr) {
-        tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kNotFound));
+        tx.template put<uint8_t>(0);
+        encode_row(tx, rows[0], p.cols_off, p.cols_cnt);
         return;
       }
       tx.template put<uint8_t>(0);
-      if (cols_cnt == 0) {
-        tx.template put<uint16_t>(static_cast<uint16_t>(row->ncols()));
-        for (unsigned c = 0; c < row->ncols(); ++c) {
-          std::string_view v = row->col(c);
-          tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-          tx.append(v);
-        }
-      } else {
-        tx.template put<uint16_t>(static_cast<uint16_t>(cols_cnt));
-        for (uint32_t i = 0; i < cols_cnt; ++i) {
-          std::string_view v = row->col(cols_pool[cols_off + i]);
-          tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-          tx.append(v);
+      tx.template put<uint16_t>(static_cast<uint16_t>(n));
+      for (uint32_t i = 0; i < n; ++i) {
+        tx.template put<uint8_t>(rows[i] != nullptr ? 1 : 0);
+        if (rows[i] != nullptr) {
+          encode_row(tx, rows[i], p.cols_off, p.cols_cnt);
         }
       }
     }
 
-    // ---- inline ops (writes, scans, pings, rejections) ------------------
+    // The selected columns (all when cols_cnt == 0), count-prefixed.
+    void encode_row(netframe::TxRing& tx, const Row* row, uint32_t cols_off,
+                    uint32_t cols_cnt) {
+      uint32_t ncols = cols_cnt == 0 ? row->ncols() : cols_cnt;
+      tx.template put<uint16_t>(static_cast<uint16_t>(ncols));
+      for (uint32_t i = 0; i < ncols; ++i) {
+        std::string_view v = row->col(cols_cnt == 0 ? i : cols_pool[cols_off + i]);
+        tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
+        tx.append(v);
+      }
+    }
+
+    // kPut: status 0 + inserted byte; kRemove: status 0 or kNotFound;
+    // kMultiPut: status 0, count, per-entry inserted bytes. Ops the store
+    // refused because it had degraded to read-only answer kReadOnly with no
+    // payload — the connection lives on, and its reads keep working.
+    static void encode_write(netframe::TxRing& tx, const ParsedOp& p,
+                             const typename StoreT::PutOp* o, uint32_t n) {
+      for (uint32_t i = 0; i < n; ++i) {
+        if (o[i].rejected) {
+          tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
+          return;
+        }
+      }
+      if (p.op == NetOp::kRemove) {
+        tx.template put<uint8_t>(o[0].found ? 0 : static_cast<uint8_t>(NetStatus::kNotFound));
+        return;
+      }
+      tx.template put<uint8_t>(0);
+      if (p.op == NetOp::kMultiPut) {
+        tx.template put<uint16_t>(static_cast<uint16_t>(n));
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        tx.template put<uint8_t>(o[i].inserted ? 1 : 0);
+      }
+    }
+
+    // ---- inline ops (scans, pings, empty frames, rejections) -----------
     void execute_inline(ConnWork& cw, const ParsedOp& p) {
       netframe::TxRing& tx = cw.c->tx;
       open_frame(cw);
@@ -1608,100 +1072,25 @@ class BasicServer {
         maybe_close_frame(cw, p);
         return;
       }
-      if (p.op != NetOp::kPing) {
-        keyed.fetch_add(1, std::memory_order_relaxed);
-      }
-      switch (p.op) {
-        case NetOp::kPut: {
-          upd_scratch.assign(upd_pool.begin() + p.upd_off,
-                             upd_pool.begin() + p.upd_off + p.upd_cnt);
-          if constexpr (HasCheckedWrites<StoreT>) {
-            auto pr = server.store_.put_checked(p.key, upd_scratch, session);
-            if (pr == StoreT::PutResult::kReadOnly) {
-              tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-            } else {
-              tx.template put<uint8_t>(0);
-              tx.template put<uint8_t>(pr == StoreT::PutResult::kInserted ? 1 : 0);
-            }
-          } else {
-            bool inserted = server.store_.put(p.key, upd_scratch, session);
-            tx.template put<uint8_t>(0);
-            tx.template put<uint8_t>(inserted ? 1 : 0);
-          }
-          break;
-        }
-        case NetOp::kRemove: {
-          if constexpr (HasCheckedWrites<StoreT>) {
-            auto rr = server.store_.remove_checked(p.key, session);
-            tx.template put<uint8_t>(
-                rr == StoreT::RemoveResult::kReadOnly
-                    ? static_cast<uint8_t>(NetStatus::kReadOnly)
-                    : (rr == StoreT::RemoveResult::kRemoved
-                           ? 0
-                           : static_cast<uint8_t>(NetStatus::kNotFound)));
-          } else {
-            bool removed = server.store_.remove(p.key, session);
-            tx.template put<uint8_t>(
-                removed ? 0 : static_cast<uint8_t>(NetStatus::kNotFound));
-          }
-          break;
-        }
-        case NetOp::kScan: {
-          tx.template put<uint8_t>(0);
-          uint64_t count_pos = tx.reserve_u32();
-          uint32_t count = 0;
-          // Streams whole border-node snapshots from the store's ScanCursor;
-          // each emitted pair is encoded straight into the tx ring.
-          server.store_.getrange(
-              p.key, p.scan_limit, p.scan_col,
-              [&](std::string_view k, std::string_view v, const Row*) {
-                tx.template put<uint32_t>(static_cast<uint32_t>(k.size()));
-                tx.append(k);
-                tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-                tx.append(v);
-                ++count;
-                return true;
-              },
-              session);
-          tx.patch_u32(count_pos, count);
-          break;
-        }
-        case NetOp::kPing:
-          tx.template put<uint8_t>(0);
-          break;
-        case NetOp::kMultiPut: {
-          // Only reached for backends without the batched-write seam
-          // (wbatchable() routes it to the write batch otherwise): plain
-          // sequential puts, wire behavior identical.
-          if constexpr (HasCheckedWrites<StoreT>) {
-            if (server.store_.read_only()) {
-              tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-              break;
-            }
-          }
-          tx.template put<uint8_t>(0);
-          tx.template put<uint16_t>(static_cast<uint16_t>(p.keys_cnt));
-          uint32_t uo = p.upd_off;
-          for (uint32_t i = 0; i < p.keys_cnt; ++i) {
-            uint32_t cnt = wcnt_pool[p.cols_off + i];
-            upd_scratch.assign(upd_pool.begin() + uo, upd_pool.begin() + uo + cnt);
-            uo += cnt;
-            bool inserted = false;
-            if constexpr (HasCheckedWrites<StoreT>) {
-              inserted = server.store_.put_checked(keys_pool[p.keys_off + i],
-                                                   upd_scratch, session) ==
-                         StoreT::PutResult::kInserted;
-            } else {
-              inserted =
-                  server.store_.put(keys_pool[p.keys_off + i], upd_scratch, session);
-            }
-            tx.template put<uint8_t>(inserted ? 1 : 0);
-          }
-          break;
-        }
-        default:
-          break;  // unreachable: gets/multigets go through the batch
-      }
+      tx.template put<uint8_t>(0);
+      if (p.op == NetOp::kScan) {
+        uint64_t count_pos = tx.reserve_u32();
+        uint32_t count = 0;
+        // Streams whole border-node snapshots from the store's ScanCursor;
+        // each emitted pair is encoded straight into the tx ring.
+        server.store_.getrange(
+            p.key, p.scan_limit, p.scan_col,
+            [&](std::string_view k, std::string_view v, const Row*) {
+              tx.template put<uint32_t>(static_cast<uint32_t>(k.size()));
+              tx.append(k);
+              tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
+              tx.append(v);
+              ++count;
+              return true;
+            },
+            session);
+        tx.patch_u32(count_pos, count);
+      }  // kPing: the status byte is the whole answer
       maybe_close_frame(cw, p);
     }
 
@@ -1727,59 +1116,33 @@ class BasicServer {
     typename StoreT::Session session;
     std::thread thread;
     std::atomic<bool> stop{false};
-    // Keyed ops whose tree/store work ran on this worker's session (the
-    // affinity tests read this cross-thread through keyed_ops()).
-    std::atomic<uint64_t> keyed{0};
 
    private:
-    struct PendingConn {
-      int fd;
-      std::string carry;  // unconsumed rx bytes travelling with a migration
-      bool routed;
-    };
-
     int epfd = -1;
     int wakefd = -1;
     char wake_tag = 0;    // epoll data tags (address identity only)
     char listen_tag = 0;
     unsigned rr_next = 0;  // accepting worker's round-robin cursor
+    bool accept_paused = false;  // listener interest dropped after EMFILE/ENFILE
+    uint64_t accept_paused_ns = 0;
     uint64_t last_idle_sweep_ns = 0;
     std::mutex mu;
-    std::vector<PendingConn> pending;  // handed off by other workers
+    std::vector<int> pending;  // accepted fds handed off by worker 0
     std::vector<std::unique_ptr<Conn>> conns;
-    // Steered-multiget/multiput mailboxes: other workers push under jobs_mu
-    // + wake(); only this worker's thread (or a stopping_ steal-back)
-    // removes entries.
-    std::mutex jobs_mu;
-    std::vector<RemoteGetJob> jobs;
-    std::vector<RemoteGetJob> jobs_scratch;
-    std::vector<RemoteWriteJob> wjobs;
-    std::vector<RemoteWriteJob> wjobs_scratch;
-    // Per-owner steering scratch; job pointers point into these, which stay
-    // stable until every job's done counter is bumped.
-    std::vector<std::vector<std::string_view>> steer_keys;
-    std::vector<std::vector<const Row*>> steer_rows;
-    std::vector<std::vector<uint32_t>> steer_map;
-    std::vector<typename netdetail::PutOpPool<StoreT>::type> steer_wops;
-    std::vector<std::vector<uint32_t>> steer_wmap;
     // Reusable per-wakeup scratch: capacity persists, so the steady state
     // parses and batches without allocating.
-    std::vector<PendingConn> adopted;
+    std::vector<int> adopted;
     std::vector<Conn*> ready, plist, dying;
     std::vector<ParsedOp> ops;
     std::vector<unsigned> cols_pool;
     std::vector<ColumnUpdate> upd_pool;
     std::vector<std::string_view> keys_pool;
-    std::vector<ConnWork> works;
-    std::vector<std::string_view> batch_keys;
-    std::vector<BatchRef> batch_refs;
-    std::vector<const Row*> batch_rows;
     std::vector<uint32_t> wcnt_pool;  // kMultiPut per-key column counts
-    std::vector<WBatchRef> wbatch_refs;
-    typename netdetail::PutOpPool<StoreT>::type store_ops;
-    std::vector<ColumnUpdate> upd_scratch;
-    std::vector<unsigned> col_scratch;
-    std::vector<std::string> cols_out;
+    std::vector<ConnWork> works;
+    std::vector<RunRef> refs[2];  // the round's batches, indexed by Kind
+    std::vector<std::string_view> batch_keys;
+    std::vector<const Row*> batch_rows;
+    std::vector<typename StoreT::PutOp> store_ops;
   };
 
   StoreT& store_;
@@ -1789,20 +1152,10 @@ class BasicServer {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> ops_served_{0};
-  std::atomic<uint64_t> batched_gets_{0};
-  std::atomic<uint64_t> batches_formed_{0};
-  std::atomic<uint64_t> steered_gets_{0};
-  std::atomic<uint64_t> batched_puts_{0};
-  std::atomic<uint64_t> wbatches_formed_{0};
-  std::atomic<uint64_t> steered_puts_{0};
+  std::atomic<uint64_t> batched_[2]{};  // entries in formed batches, by Kind
+  std::atomic<uint64_t> formed_[2]{};   // batches coalescing >= 2 ops, by Kind
   std::atomic<uint64_t> idle_reaped_{0};
 };
-
-// If Store::multiget_rows/multiput ever drift away from their concepts, the
-// server would silently degrade network gets/puts to sequential store calls —
-// make that a compile error for the canonical backend instead.
-static_assert(HasMultigetRows<Store>);
-static_assert(HasMultiput<Store>);
 
 using Server = BasicServer<Store>;
 

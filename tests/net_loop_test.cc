@@ -2,21 +2,27 @@
 // oracle-diffed against std::map shadows, connection churn under concurrent
 // writes, slow-reader backpressure isolation, cross-connection batch
 // formation for reads AND writes (Counter::kNetBatchedGets /
-// kNetBatchedPuts), partition-affinity routing (hot keys pinned to their
-// hash-owner worker; multiget and multiput ops steered across workers
-// without reordering), clean start/stop cycles against the acceptor
-// shutdown race, slow-loris idle-connection reaping, and read-only degraded
-// serving over the wire after a sticky log I/O error.
+// kNetBatchedPuts), clean start/stop cycles against the acceptor shutdown
+// race, no accept spin when the process runs out of file descriptors,
+// slow-loris idle-connection reaping, and read-only degraded serving over the
+// wire after a sticky log I/O error.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <cerrno>
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,10 +42,8 @@ using test_support::seeded_rng;
 
 class NetLoopTest : public ::testing::Test {
  protected:
-  void StartServer(unsigned workers, size_t tx_highwater = 1 << 20,
-                   bool affinity = false) {
-    server_ = std::make_unique<Server>(store_,
-                                       Server::Options{0, workers, tx_highwater, affinity});
+  void StartServer(unsigned workers, size_t tx_highwater = 1 << 20) {
+    server_ = std::make_unique<Server>(store_, Server::Options{0, workers, tx_highwater});
     server_->start();
   }
   void TearDown() override {
@@ -54,9 +58,11 @@ class NetLoopTest : public ::testing::Test {
 
 // ---------------------------------------------------------------------------
 // Many concurrent pipelining clients, each diffed against its own std::map
-// shadow. Every expected outcome is computed at send() time (before the
-// response exists), so a response that is reordered, dropped, duplicated, or
-// attributed to the wrong frame fails the diff.
+// shadow. Frames mix single-key ops with kMultiGet and kMultiPut (repeated
+// keys included), so single-key and multi-key ops from one connection share
+// the read and write batches. Every expected outcome is computed at send()
+// time (before the response exists), so a response that is reordered,
+// dropped, duplicated, or attributed to the wrong frame fails the diff.
 TEST_F(NetLoopTest, PipelinedClientsOracleDiff) {
   StartServer(2);
   constexpr int kClients = 4, kFrames = 300, kDepth = 4;
@@ -72,6 +78,9 @@ TEST_F(NetLoopTest, PipelinedClientsOracleDiff) {
         NetOp op;
         bool flag;          // put: inserted; remove: removed; get: found
         std::string value;  // get: expected column 0
+        // kMultiGet: per key (found, column 0); kMultiPut: per entry
+        // (inserted, unused).
+        std::vector<std::pair<bool, std::string>> batch;
       };
       std::deque<std::vector<ExpectedOp>> expected;
 
@@ -98,6 +107,21 @@ TEST_F(NetLoopTest, PipelinedClientsOracleDiff) {
                 ok = res[i].status == NetStatus::kNotFound;
               }
               break;
+            case NetOp::kMultiGet:
+            case NetOp::kMultiPut:
+              ok = res[i].status == NetStatus::kOk &&
+                   res[i].batch.size() == exp[i].batch.size();
+              for (size_t j = 0; ok && j < exp[i].batch.size(); ++j) {
+                const Client::BatchGet& got = res[i].batch[j];
+                const auto& [flag, value] = exp[i].batch[j];
+                if (exp[i].op == NetOp::kMultiPut) {
+                  ok = got.inserted == flag;
+                } else {
+                  ok = got.found == flag &&
+                       (!flag || (got.columns.size() == 1 && got.columns[0] == value));
+                }
+              }
+              break;
             default:
               break;
           }
@@ -110,29 +134,67 @@ TEST_F(NetLoopTest, PipelinedClientsOracleDiff) {
       for (int f = 0; f < kFrames; ++f) {
         std::vector<ExpectedOp> exp;
         int nops = 1 + static_cast<int>(rng.next_range(4));
+        auto draw_key = [&] {
+          return "c" + std::to_string(t) + "-" + std::to_string(rng.next_range(64));
+        };
         for (int o = 0; o < nops; ++o) {
-          std::string key =
-              "c" + std::to_string(t) + "-" + std::to_string(rng.next_range(64));
-          switch (rng.next_range(3)) {
+          std::string key = draw_key();
+          switch (rng.next_range(5)) {
             case 0: {
               std::string val = "v" + std::to_string(rng.next());
               bool fresh = oracle.find(key) == oracle.end();
               oracle[key] = val;
               c.put(key, {{0, val}});
-              exp.push_back({NetOp::kPut, fresh, {}});
+              exp.push_back({NetOp::kPut, fresh, {}, {}});
               break;
             }
             case 1: {
               auto it = oracle.find(key);
               c.get(key);
               exp.push_back(
-                  {NetOp::kGet, it != oracle.end(), it != oracle.end() ? it->second : ""});
+                  {NetOp::kGet, it != oracle.end(), it != oracle.end() ? it->second : "", {}});
+              break;
+            }
+            case 2: {
+              bool present = oracle.erase(key) > 0;
+              c.remove(key);
+              exp.push_back({NetOp::kRemove, present, {}, {}});
+              break;
+            }
+            case 3: {
+              std::vector<std::string> keys{key};
+              for (int n = static_cast<int>(rng.next_range(6)); n > 0; --n) {
+                keys.push_back(draw_key());
+              }
+              ExpectedOp e{NetOp::kMultiGet, false, {}, {}};
+              for (const std::string& k : keys) {
+                auto it = oracle.find(k);
+                e.batch.emplace_back(it != oracle.end(),
+                                     it != oracle.end() ? it->second : "");
+              }
+              c.multiget(std::vector<std::string_view>(keys.begin(), keys.end()));
+              exp.push_back(std::move(e));
               break;
             }
             default: {
-              bool present = oracle.erase(key) > 0;
-              c.remove(key);
-              exp.push_back({NetOp::kRemove, present, {}});
+              // Entries apply in order: a repeated key inserts at most once
+              // and its last value wins.
+              std::vector<std::string> keys{key}, vals;
+              for (int n = static_cast<int>(rng.next_range(6)); n > 0; --n) {
+                keys.push_back(draw_key());
+              }
+              ExpectedOp e{NetOp::kMultiPut, false, {}, {}};
+              std::vector<netwire::MultiputEntry> entries;
+              for (const std::string& k : keys) {
+                vals.push_back("m" + std::to_string(rng.next()));
+                e.batch.emplace_back(oracle.find(k) == oracle.end(), "");
+                oracle[k] = vals.back();
+              }
+              for (size_t j = 0; j < keys.size(); ++j) {
+                entries.push_back({keys[j], {{0, vals[j]}}});
+              }
+              c.multiput(entries);
+              exp.push_back(std::move(e));
               break;
             }
           }
@@ -153,7 +215,7 @@ TEST_F(NetLoopTest, PipelinedClientsOracleDiff) {
       std::vector<ExpectedOp> exp;
       for (const auto& [k, v] : oracle) {
         c.get(k);
-        exp.push_back({NetOp::kGet, true, v});
+        exp.push_back({NetOp::kGet, true, v, {}});
         if (c.pending() == 64) {
           c.send();
           expected.push_back(std::move(exp));
@@ -359,213 +421,6 @@ TEST_F(NetLoopTest, WriteBatchesFormAcrossConnections) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition-affinity routing: with affinity on, every op on one hot key must
-// be executed by the worker owning hash(key) % nworkers — connections landing
-// on other workers are re-steered on their first keyed frame (before any op
-// executes), so the other workers' keyed-op counters stay at exactly zero.
-TEST_F(NetLoopTest, AffinityPinsHotKeyToOwnerWorker) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-  const std::string hot = "hotkey";
-  unsigned owner = Server::route_worker(hot, kWorkers);
-  {
-    Client seed(server_->port());
-    seed.put(hot, {{0, "hotval"}});
-    seed.flush();
-  }
-  // Many short-lived connections: round-robin accept spreads them over all
-  // workers, so most must migrate to reach the owner.
-  std::vector<std::thread> threads;
-  std::atomic<int> errors{0};
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      Client c(server_->port());
-      for (int i = 0; i < 50; ++i) {
-        c.get(hot);
-        auto res = c.flush();
-        if (res.size() != 1 || res[0].status != NetStatus::kOk ||
-            res[0].columns.size() != 1 || res[0].columns[0] != "hotval") {
-          ++errors;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_GT(server_->keyed_ops(owner), 0u);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    if (w != owner) {
-      EXPECT_EQ(server_->keyed_ops(w), 0u)
-          << "worker " << w << " executed ops for a key owned by " << owner;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Multiget steering: a batch whose keys hash to every worker is split and
-// shipped to the owners (steered_gets > 0), yet the connection's responses —
-// puts, the multiget's per-key rows, and a trailing get — come back complete
-// and in exactly the order sent.
-TEST_F(NetLoopTest, AffinitySteersMultigetWithoutReordering) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-
-  // One key per worker, found by hashing candidates.
-  std::vector<std::string> per_worker(kWorkers);
-  unsigned found = 0;
-  for (int i = 0; found < kWorkers && i < 10000; ++i) {
-    std::string k = "aff" + std::to_string(i);
-    unsigned w = Server::route_worker(k, kWorkers);
-    if (per_worker[w].empty()) {
-      per_worker[w] = k;
-      ++found;
-    }
-  }
-  ASSERT_EQ(found, kWorkers);
-
-  Client c(server_->port());
-  // Pipeline everything BEFORE reading: the first keyed frame migrates the
-  // connection, so the later frames ride the migration carry and must still
-  // be answered in order.
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    c.put(per_worker[w], {{0, "val-" + per_worker[w]}});
-  }
-  c.send();
-  std::vector<std::string_view> batch;
-  for (int rep = 0; rep < 3; ++rep) {  // every worker appears 3x, interleaved
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      batch.push_back(per_worker[w]);
-    }
-  }
-  batch.push_back("aff-missing");  // a not-found row keeps indices honest
-  c.multiget(batch);
-  c.send();
-  c.get(per_worker[0]);
-  c.send();
-
-  auto puts = c.receive();
-  ASSERT_EQ(puts.size(), kWorkers);
-  for (const auto& r : puts) {
-    EXPECT_EQ(r.status, NetStatus::kOk);
-  }
-  auto mg = c.receive();
-  ASSERT_EQ(mg.size(), 1u);
-  ASSERT_EQ(mg[0].batch.size(), batch.size());
-  for (size_t i = 0; i + 1 < batch.size(); ++i) {
-    ASSERT_TRUE(mg[0].batch[i].found) << i;
-    ASSERT_EQ(mg[0].batch[i].columns.size(), 1u) << i;
-    EXPECT_EQ(mg[0].batch[i].columns[0], std::string("val-") + std::string(batch[i]))
-        << "row " << i << " out of order after steering";
-  }
-  EXPECT_FALSE(mg[0].batch.back().found);
-  auto last = c.receive();
-  ASSERT_EQ(last.size(), 1u);
-  EXPECT_EQ(last[0].columns[0], "val-" + per_worker[0]);
-
-  EXPECT_GT(server_->steered_gets(), 0u)
-      << "a 4-worker-spanning multiget must ship remote jobs";
-}
-
-// ---------------------------------------------------------------------------
-// Multiput steering: a kMultiPut whose keys hash to every worker is split and
-// shipped to the owner workers (steered_puts > 0), yet the per-entry inserted
-// flags come back in exactly the order sent, read-back sees every write, and
-// no write executes on a worker that does not own its key.
-TEST_F(NetLoopTest, AffinitySteersMultiputWithoutReordering) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-
-  // One key per worker, found by hashing candidates.
-  std::vector<std::string> per_worker(kWorkers);
-  unsigned found = 0;
-  for (int i = 0; found < kWorkers && i < 10000; ++i) {
-    std::string k = "wsteer" + std::to_string(i);
-    unsigned w = Server::route_worker(k, kWorkers);
-    if (per_worker[w].empty()) {
-      per_worker[w] = k;
-      ++found;
-    }
-  }
-  ASSERT_EQ(found, kWorkers);
-
-  Client c(server_->port());
-  std::vector<std::string> vals;
-  std::vector<netwire::MultiputEntry> entries;
-  for (int rep = 0; rep < 3; ++rep) {  // every worker appears 3x, interleaved
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      vals.push_back("wv" + std::to_string(rep) + "-" + per_worker[w]);
-    }
-  }
-  size_t vi = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      entries.push_back({per_worker[w], {{0, vals[vi++]}}});
-    }
-  }
-  c.multiput(entries);
-  auto res = c.flush();
-  ASSERT_EQ(res.size(), 1u);
-  ASSERT_EQ(res[0].status, NetStatus::kOk);
-  ASSERT_EQ(res[0].batch.size(), entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    // As-if-sequential order survives the steering: only each key's FIRST
-    // occurrence inserts; later duplicates report replacements.
-    EXPECT_EQ(res[0].batch[i].inserted, i < kWorkers) << i;
-  }
-  EXPECT_GT(server_->steered_puts(), 0u)
-      << "a 4-worker-spanning multiput must ship remote write jobs";
-
-  // Last write wins per key, across the steered partitions.
-  std::vector<std::string_view> keys(per_worker.begin(), per_worker.end());
-  c.multiget(keys);
-  res = c.flush();
-  ASSERT_EQ(res[0].batch.size(), kWorkers);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    ASSERT_TRUE(res[0].batch[w].found) << w;
-    EXPECT_EQ(res[0].batch[w].columns[0], "wv2-" + per_worker[w]) << w;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Affinity pins hot-key WRITES: single-key put/remove frames on one hot key
-// must only ever execute on the owner worker, even when they arrive through
-// the write-coalescing path.
-TEST_F(NetLoopTest, AffinityPinsHotKeyWritesToOwnerWorker) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-  const std::string hot = "hot-write-key";
-  unsigned owner = Server::route_worker(hot, kWorkers);
-
-  std::vector<std::thread> threads;
-  std::atomic<int> errors{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      Client c(server_->port());
-      for (int i = 0; i < 40; ++i) {
-        c.put(hot, {{0, "w" + std::to_string(t)}});
-        auto res = c.flush();
-        if (res.size() != 1 || res[0].status != NetStatus::kOk) {
-          ++errors;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_GT(server_->keyed_ops(owner), 0u);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    if (w != owner) {
-      EXPECT_EQ(server_->keyed_ops(w), 0u)
-          << "worker " << w << " executed writes for a key owned by " << owner;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Start/stop cycles with live connections: the old blocking server had a
 // shutdown/accept race on listen_fd_; the event-loop server routes the
 // listener through worker 0's epoll set and closes the fd only after every
@@ -583,6 +438,160 @@ TEST(NetLoopShutdown, StartStopCyclesWithLiveClients) {
     EXPECT_EQ(res[1].columns[0], "v");
     server.stop();  // with the client still connected
   }
+}
+
+// ---------------------------------------------------------------------------
+// Out of file descriptors: accept4 fails with EMFILE, the pending
+// connections stay queued, and the level-triggered listener stays readable.
+// The accepting worker must not spin on it, and the backlogged clients must
+// be served once earlier connections close. The server runs in a forked
+// child whose RLIMIT_NOFILE sits a few fds above its open ones, so the limit
+// binds nothing else in the test process.
+
+// User + system CPU seconds a process has used so far (/proc/<pid>/stat).
+double process_cpu_s(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  size_t p = stat.rfind(')');  // the command name may hold spaces
+  if (p == std::string::npos) {
+    return -1;
+  }
+  std::istringstream fields(stat.substr(p + 2));
+  std::string skip;
+  for (int i = 3; i < 14; ++i) {  // fields 3..13 precede utime (14), stime (15)
+    fields >> skip;
+  }
+  uint64_t utime = 0, stime = 0;
+  fields >> utime >> stime;
+  return static_cast<double>(utime + stime) / static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+TEST(NetLoopAccept, FdExhaustionDoesNotSpinAndBacklogIsServed) {
+  constexpr int kSpareFds = 4, kConns = 16;
+  int port_pipe[2], stop_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  ASSERT_EQ(::pipe(stop_pipe), 0);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The child reports its port (0 on failure), serves until the parent
+    // closes the stop pipe, and never returns into the test runner.
+    ::close(port_pipe[0]);
+    ::close(stop_pipe[1]);
+    try {
+      Store::Options sopt;
+      sopt.maintenance_thread = false;  // only the server's CPU is measured
+      Store store(sopt);
+      Server server(store, Server::Options{0, 1});
+      server.start();
+      int lowest_free = ::fcntl(port_pipe[1], F_DUPFD, 0);
+      ::close(lowest_free);
+      rlimit saved{};
+      ::getrlimit(RLIMIT_NOFILE, &saved);
+      rlimit low = saved;
+      low.rlim_cur = static_cast<rlim_t>(lowest_free + kSpareFds);
+      uint16_t port = ::setrlimit(RLIMIT_NOFILE, &low) == 0 ? server.port() : 0;
+      ssize_t w = ::write(port_pipe[1], &port, sizeof(port));
+      char b;
+      ssize_t r = ::read(stop_pipe[0], &b, 1);
+      (void)w;
+      (void)r;
+      ::setrlimit(RLIMIT_NOFILE, &saved);  // shutdown runs with room to spare
+      server.stop();
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  ::close(port_pipe[1]);
+  ::close(stop_pipe[0]);
+  struct Child {
+    pid_t pid;
+    int stop_fd;
+    ~Child() {
+      if (stop_fd >= 0) {  // an assertion bailed out early
+        ::close(stop_fd);
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } child{pid, stop_pipe[1]};
+  uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)), static_cast<ssize_t>(sizeof(port)));
+  ::close(port_pipe[0]);
+  ASSERT_NE(port, 0) << "child could not lower RLIMIT_NOFILE";
+
+  // Every client connects (the kernel queues what the server cannot accept)
+  // and sends one ping frame.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  std::vector<int> fds;
+  std::string ping;
+  netwire::encode_ping(&ping);
+  netwire::frame(&ping);
+  for (int i = 0; i < kConns; ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+  }
+
+  // The server now holds kSpareFds connections and cannot accept the rest.
+  // Over an idle second its CPU must stay far below the second.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  double cpu0 = process_cpu_s(pid);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  double cpu1 = process_cpu_s(pid);
+  ASSERT_GE(cpu0, 0);
+  EXPECT_LT(cpu1 - cpu0, 0.2) << "the accepting worker spins on a listener it cannot accept from";
+
+  // Closing each answered connection frees an fd for a backlogged one, so
+  // every client is eventually answered.
+  int served = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (served < kConns && std::chrono::steady_clock::now() < deadline) {
+    std::vector<pollfd> pfds;
+    for (int fd : fds) {
+      if (fd >= 0) {
+        pfds.push_back(pollfd{fd, POLLIN, 0});
+      }
+    }
+    ASSERT_GE(::poll(pfds.data(), pfds.size(), 100), 0);
+    for (const pollfd& p : pfds) {
+      if ((p.revents & POLLIN) == 0) {
+        continue;
+      }
+      char resp[5];  // u32 length 1 + status byte kOk
+      ASSERT_EQ(::recv(p.fd, resp, sizeof(resp), MSG_WAITALL), 5);
+      uint32_t len;
+      std::memcpy(&len, resp, sizeof(len));
+      EXPECT_EQ(len, 1u);
+      EXPECT_EQ(resp[4], 0);
+      ::close(p.fd);
+      for (int& fd : fds) {
+        if (fd == p.fd) {
+          fd = -1;
+        }
+      }
+      ++served;
+    }
+  }
+  EXPECT_EQ(served, kConns) << "backlogged clients were never accepted";
+  for (int fd : fds) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+
+  ::close(child.stop_fd);
+  child.stop_fd = -1;
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 // ---------------------------------------------------------------------------

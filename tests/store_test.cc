@@ -132,6 +132,57 @@ TEST(Store, GetRangeCrossesEpochChunkBoundary) {
   }
 }
 
+// getrange drives the session's resident cursor: once its buffers have
+// grown, further scans allocate nothing (Counter::kScanAllocs stays put). A
+// getrange nested in another's emit callback on the same session runs on a
+// cursor of its own, so neither scan disturbs the other.
+TEST(Store, GetRangeReusesSessionCursorAndNests) {
+  Store store;
+  Store::Session s(store, 0);
+  for (int i = 0; i < 40; ++i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "nest%03d", i);
+    store.put(buf, {{0, std::to_string(i)}}, s);
+  }
+  auto keys_from = [&](std::string_view start, size_t n) {
+    std::vector<std::string> got;
+    store.getrange(
+        start, n, 0,
+        [&](std::string_view k, std::string_view, const Row*) {
+          got.emplace_back(k);
+          return true;
+        },
+        s);
+    return got;
+  };
+  keys_from("nest000", 40);  // warm-up: the cursor's buffers grow here
+  uint64_t allocs = s.ti().counters().get(Counter::kScanAllocs);
+  for (int rep = 0; rep < 20; ++rep) {
+    ASSERT_EQ(keys_from("nest010", 5).front(), "nest010");
+  }
+  EXPECT_EQ(s.ti().counters().get(Counter::kScanAllocs), allocs);
+
+  std::vector<std::string> outer;
+  size_t n = store.getrange(
+      "nest020", 6, 0,
+      [&](std::string_view k, std::string_view, const Row*) {
+        outer.emplace_back(k);
+        std::vector<std::string> inner = keys_from(k, 3);
+        EXPECT_EQ(inner.size(), 3u);
+        EXPECT_EQ(inner.front(), k);
+        return true;
+      },
+      s);
+  ASSERT_EQ(n, 6u);
+  ASSERT_EQ(outer.size(), 6u);
+  for (size_t i = 0; i < outer.size(); ++i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "nest%03zu", 20 + i);
+    EXPECT_EQ(outer[i], buf);
+  }
+  EXPECT_EQ(keys_from("nest038", 5).size(), 2u);  // the resident cursor still works
+}
+
 TEST(Store, AtomicMultiColumnPutUnderReaders) {
   // §4.7: "a concurrent get will see either all or none of a put's column
   // modifications". Writer alternates (i, i); readers must never see a
